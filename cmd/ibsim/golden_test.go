@@ -32,12 +32,18 @@ func TestJSONGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	golden := filepath.Join("testdata", "tiny.golden.json")
+	checkGolden(t, filepath.Join("testdata", "tiny.golden.json"), buf.Bytes())
+}
+
+// checkGolden compares got with the golden file, first rewriting the
+// file from got under -update.
+func checkGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,9 +51,9 @@ func TestJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
+	if !bytes.Equal(got, want) {
 		t.Fatalf("JSON output diverged from %s (rerun with -update if intended)\ngot %d bytes, want %d",
-			golden, buf.Len(), len(want))
+			golden, len(got), len(want))
 	}
 }
 

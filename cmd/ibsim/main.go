@@ -7,20 +7,26 @@
 //	ibsim -exp table2 -scale quick  # one experiment, reduced scale
 //	ibsim -exp scaling -sizes 8,16,32,64
 //
-// Experiments: table1, table2, figure4, figure5, figure6,
-// ablation-priority, ablation-fill, ablation-vl, ablation-switch,
-// scaling, churn, all.
+// Paper experiments: table1, table2, figure4, figure5, figure6,
+// ablation-priority, ablation-fill, ablation-vl, ablation-switch, vbr,
+// reconfig, scaling, all.
+//
+// Sweep experiments print a table and a JSON report: churn, faults,
+// failover, scale, plan, hol; shardbench benchmarks the sharded core.
 //
 //	ibsim -exp churn -churn-seeds 8   # connection churn with in-band
-//	                                  # table reprogramming (JSON)
-//	ibsim -exp scale -scale tiny      # structured fabrics (fat-tree,
-//	                                  # dragonfly, irregular) under load
-//	ibsim -exp hol -islip-iters 2     # WRR vs iSLIP vs MWM switch models
-//	                                  # (head-of-line-blocking audit)
+//	                                  # table reprogramming
+//	ibsim -exp faults -scale tiny     # churn under injected SMP faults
 //	ibsim -exp failover -scale tiny   # live link/switch failure with
 //	                                  # verified deadlock-free repair
+//	ibsim -exp scale -scale tiny      # structured fabrics (fat-tree,
+//	                                  # dragonfly, irregular) under load
 //	ibsim -exp plan -scale tiny       # analytical WRR capacity plan
 //	                                  # (model-predicted, no simulation)
+//	ibsim -exp hol -islip-iters 2     # WRR vs iSLIP vs MWM switch models
+//	                                  # (head-of-line-blocking audit)
+//	ibsim -exp shardbench -bench-shards 1,2,4
+//	                                  # sharded-core throughput
 package main
 
 import (
@@ -40,22 +46,18 @@ import (
 )
 
 func main() {
+	var sf sweepFlags
+	sf.register(flag.CommandLine)
+	sf.timing = true
 	var (
 		exp         = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|"))
 		scale       = flag.String("scale", "full", "scale preset: tiny|quick|full")
-		seed        = flag.Int64("seed", 0, "override random seed (0 keeps the preset's)")
-		switches    = flag.Int("switches", 0, "override network size (0 keeps the preset's)")
 		sizes       = flag.String("sizes", "8,16,32", "network sizes for -exp scaling")
 		traces      = flag.Int("traces", 50, "request traces for -exp ablation-fill")
 		asJSON      = flag.Bool("json", false, "emit the full evaluation as one JSON document (ignores -exp)")
 		withViz     = flag.Bool("viz", false, "render figures 4 and 5 as terminal charts too")
-		parallel    = flag.Int("parallel", 0, "worker goroutines for sweeps (0 = GOMAXPROCS)")
 		withMetrics = flag.Bool("metrics", false, "collect per-port arbitration metrics and append a JSON dump")
 		traceEvents = flag.Int("trace", 0, "record the last N arbitration decisions per run (implies -metrics)")
-		churnSeeds  = flag.Int("churn-seeds", 4, "independent seeds for -exp churn")
-		islipIters  = flag.Int("islip-iters", 0, "iSLIP iteration depth for -exp hol (0 = default)")
-		shards      = flag.Int("shards", 0, "partition each fabric into N shards simulated in conservative-lookahead windows (0/1 = classic single engine)")
-		shardDet    = flag.Bool("shard-det", false, "keep all shards on one engine: bit-identical output at any -shards count, no parallel speedup")
 		benchClass  = flag.String("bench-class", "fattree", "topology class for -exp shardbench: fattree|dragonfly")
 		benchK      = flag.Int("bench-k", 8, "fat-tree arity for -exp shardbench")
 		benchA      = flag.Int("bench-a", 16, "dragonfly switches per group for -exp shardbench")
@@ -63,13 +65,12 @@ func main() {
 		benchH      = flag.Int("bench-h", 8, "dragonfly global links per switch for -exp shardbench")
 		benchShards = flag.String("bench-shards", "1,2,4,8", "shard counts for -exp shardbench")
 		benchBT     = flag.Int64("bench-horizon", 0, "simulated horizon for -exp shardbench, byte times (0 = preset)")
-		headroomSL  = flag.Int("plan-headroom-sl", 4, "service level the -exp plan headroom bisection probes")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	)
 	flag.Parse()
 
-	runner.SetDefaultWorkers(*parallel)
+	runner.SetDefaultWorkers(sf.workers)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -100,16 +101,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *seed != 0 {
-		p.Seed = *seed
-	}
-	if *switches != 0 {
-		p.Switches = *switches
-	}
+	override(&p.Seed, sf.seed)
+	override(&p.Switches, sf.switches)
 	p.Metrics = *withMetrics || *traceEvents > 0
 	p.TraceEvents = *traceEvents
-	p.Shards = *shards
-	p.ShardDet = *shardDet
+	p.Shards = sf.shards
+	p.ShardDet = sf.shardDet
 
 	start := time.Now()
 	if *asJSON {
@@ -150,114 +147,9 @@ func main() {
 			fatal(err)
 		}
 		experiments.PrintReconfig(os.Stdout, res)
-	case "churn":
-		base := churnParams(*scale)
-		if *seed != 0 {
-			base.Seed = *seed
-		}
-		if *switches != 0 {
-			base.Switches = *switches
-		}
-		base.Shards = *shards
-		base.ShardDet = *shardDet
-		res, err := experiments.ChurnSweep(base, *churnSeeds, *parallel)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintChurn(os.Stdout, res)
-		fmt.Println()
-		if err := emitChurnJSON(os.Stdout, base, res); err != nil {
-			fatal(err)
-		}
-	case "faults":
-		base := faultParams(*scale)
-		if *seed != 0 {
-			base.Churn.Seed = *seed
-		}
-		if *switches != 0 {
-			base.Churn.Switches = *switches
-		}
-		base.Churn.Shards = *shards
-		base.Churn.ShardDet = *shardDet
-		res, err := experiments.FaultsSweep(base, *parallel)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintFaults(os.Stdout, res)
-		fmt.Println()
-		if err := emitFaultsJSON(os.Stdout, base, res); err != nil {
-			fatal(err)
-		}
-	case "failover":
-		base := failoverParams(*scale)
-		if *seed != 0 {
-			base.Seed = *seed
-		}
-		base.Shards = *shards
-		res, err := experiments.FailoverSweep(base, *parallel)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintFailover(os.Stdout, res)
-		fmt.Println()
-		if err := emitFailoverJSON(os.Stdout, base, res); err != nil {
-			fatal(err)
-		}
-	case "scale":
-		base := scaleParams(*scale)
-		if *seed != 0 {
-			base.Seed = *seed
-		}
-		base.Shards = *shards
-		base.ShardDet = *shardDet
-		res, err := experiments.ScaleSweep(base, *parallel)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintScale(os.Stdout, res)
-		fmt.Println()
-		if err := emitScaleJSON(os.Stdout, base, res); err != nil {
-			fatal(err)
-		}
-	case "plan":
-		base := planParams(*scale)
-		if *seed != 0 {
-			base.Seed = *seed
-		}
-		if *headroomSL >= 0 && *headroomSL <= 255 {
-			base.HeadroomSL = uint8(*headroomSL)
-		}
-		res, err := experiments.PlanSweep(base, *parallel)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintPlan(os.Stdout, res)
-		fmt.Println()
-		if err := emitPlanJSON(os.Stdout, base, res, true); err != nil {
-			fatal(err)
-		}
-	case "hol":
-		base := holParams(*scale)
-		if *seed != 0 {
-			base.Seed = *seed
-		}
-		base.ISLIPIters = *islipIters
-		base.Shards = *shards
-		base.ShardDet = *shardDet
-		res, err := experiments.HOLSweep(base, *parallel)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintHOL(os.Stdout, res)
-		fmt.Println()
-		if err := emitHOLJSON(os.Stdout, base, res); err != nil {
-			fatal(err)
-		}
 	case "shardbench":
 		bp := experiments.ShardBenchDefault()
-		if *seed != 0 {
-			bp.Seed = *seed
-		}
+		override(&bp.Seed, sf.seed)
 		switch *benchClass {
 		case "fattree":
 			bp.Spec = topology.Spec{Class: topology.FatTree, K: *benchK}
@@ -267,7 +159,7 @@ func main() {
 			fatal(fmt.Errorf("unknown -bench-class %q (want fattree or dragonfly)", *benchClass))
 		}
 		if counts, err := parseSizes(*benchShards); err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("-bench-shards: %w", err))
 		} else {
 			bp.Shards = counts
 		}
@@ -286,23 +178,46 @@ func main() {
 	case "scaling":
 		ns, err := parseSizes(*sizes)
 		if err != nil {
+			fatal(fmt.Errorf("-sizes: %w", err))
+		}
+		rows := experiments.Scaling(p, ns)
+		experiments.PrintScaling(os.Stdout, rows)
+		for _, r := range rows {
+			if r.Err != nil {
+				fatal(fmt.Errorf("scaling: %d switches: %w", r.Switches, r.Err))
+			}
+		}
+	default:
+		e, ok := lookupSweep(*exp)
+		if !ok {
+			fatal(unknownExperimentError(*exp))
+		}
+		out, err := e.run(*scale, sf)
+		if err != nil {
 			fatal(err)
 		}
-		experiments.PrintScaling(os.Stdout, experiments.Scaling(p, ns))
-	default:
-		fatal(unknownExperimentError(*exp))
+		out.print(os.Stdout)
+		fmt.Println()
+		if err := encodeIndented(os.Stdout, out.report); err != nil {
+			fatal(err)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "\n[%s in %v]\n", *exp, time.Since(start).Round(time.Millisecond))
 }
 
 // experimentNames enumerates every value -exp accepts, in the order
 // the usage string and the unknown-experiment error present them.
-var experimentNames = []string{
-	"table1", "table2", "figure4", "figure5", "figure6",
-	"ablation-priority", "ablation-fill", "ablation-vl", "ablation-switch",
-	"vbr", "reconfig", "scaling", "churn", "faults", "failover",
-	"scale", "plan", "hol", "shardbench", "all",
-}
+var experimentNames = func() []string {
+	names := []string{
+		"table1", "table2", "figure4", "figure5", "figure6",
+		"ablation-priority", "ablation-fill", "ablation-vl", "ablation-switch",
+		"vbr", "reconfig", "scaling",
+	}
+	for _, e := range sweepExperiments {
+		names = append(names, e.name)
+	}
+	return append(names, "shardbench", "all")
+}()
 
 // unknownExperimentError names the valid experiments, so a typo'd -exp
 // tells the user what the tool can actually run.
@@ -384,64 +299,16 @@ func params(scale string) (experiments.Params, error) {
 	return experiments.Params{}, fmt.Errorf("unknown scale %q", scale)
 }
 
-// churnParams maps a scale preset onto the churn experiment.
-func churnParams(scale string) experiments.ChurnParams {
-	if scale == "tiny" {
-		return experiments.ChurnTiny()
-	}
-	return experiments.ChurnQuick()
-}
-
-// failoverParams maps a scale preset onto the live-failure recovery
-// experiment.
-func failoverParams(scale string) experiments.FailoverParams {
-	if scale == "tiny" {
-		return experiments.FailoverTiny()
-	}
-	return experiments.FailoverQuick()
-}
-
-// faultParams maps a scale preset onto the fault-injection experiment.
-func faultParams(scale string) experiments.FaultParams {
-	if scale == "tiny" {
-		return experiments.FaultsTiny()
-	}
-	return experiments.FaultsQuick()
-}
-
-// scaleParams maps a scale preset onto the structured-fabric
-// experiment.
-func scaleParams(scale string) experiments.ScaleParams {
-	if scale == "tiny" {
-		return experiments.ScaleTiny()
-	}
-	return experiments.ScaleQuick()
-}
-
-// planParams maps a scale preset onto the analytical capacity-planning
-// experiment.
-func planParams(scale string) experiments.PlanParams {
-	if scale == "tiny" {
-		return experiments.PlanTiny()
-	}
-	return experiments.PlanQuick()
-}
-
-// holParams maps a scale preset onto the HOL-blocking switch-model
-// experiment.
-func holParams(scale string) experiments.HOLParams {
-	if scale == "tiny" {
-		return experiments.HOLTiny()
-	}
-	return experiments.HOLQuick()
-}
-
+// parseSizes reads a comma-separated list of positive counts.
 func parseSizes(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
 			return nil, fmt.Errorf("bad size %q: %v", part, err)
+		}
+		if n < 1 {
+			return nil, fmt.Errorf("bad size %q: must be at least 1", part)
 		}
 		out = append(out, n)
 	}

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func TestParseSizes(t *testing.T) {
@@ -16,8 +18,10 @@ func TestParseSizes(t *testing.T) {
 			t.Fatalf("parseSizes = %v, want %v", got, want)
 		}
 	}
-	if _, err := parseSizes("8,x"); err == nil {
-		t.Error("bad size list accepted")
+	for _, bad := range []string{"8,x", "0", "8,-2", "1,0,4"} {
+		if _, err := parseSizes(bad); err == nil {
+			t.Errorf("bad size list %q accepted", bad)
+		}
 	}
 }
 
@@ -67,12 +71,28 @@ func TestUnknownExperimentErrorListsNames(t *testing.T) {
 }
 
 func TestPlanParamsPresets(t *testing.T) {
-	tiny, quick := planParams("tiny"), planParams("quick")
+	tiny := preset("tiny", experiments.PlanTiny, experiments.PlanQuick)
+	quick := preset("quick", experiments.PlanTiny, experiments.PlanQuick)
 	if len(tiny.Specs) == 0 || len(tiny.Loads) == 0 {
 		t.Fatal("tiny plan preset is empty")
 	}
 	if len(quick.Specs) == 0 || quick.HeadroomMax <= tiny.HeadroomMax {
 		t.Errorf("quick plan preset should probe more headroom than tiny (%d vs %d)",
 			quick.HeadroomMax, tiny.HeadroomMax)
+	}
+}
+
+// TestPlanHeadroomSLRejected: a -plan-headroom-sl that names no
+// service level is an error naming the flag, never silently replaced.
+func TestPlanHeadroomSLRejected(t *testing.T) {
+	e, ok := lookupSweep("plan")
+	if !ok {
+		t.Fatal("no plan experiment")
+	}
+	for _, v := range []int{-1, 16, 256, 999} {
+		_, err := e.run("tiny", sweepFlags{headroomSL: v})
+		if err == nil || !strings.Contains(err.Error(), "-plan-headroom-sl") {
+			t.Errorf("-plan-headroom-sl %d: err = %v, want an error naming the flag", v, err)
+		}
 	}
 }

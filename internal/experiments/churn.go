@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -376,32 +375,22 @@ func vlRateCoV(samples [][arbtable.NumVLs]int64) (mean, max float64) {
 	return mean, max
 }
 
-// ChurnSweep runs the churn experiment over derived seeds.  Results
-// come back in input order regardless of worker count, so the sweep's
-// JSON encoding is bit-identical at any parallelism.
-func ChurnSweep(base ChurnParams, seeds, workers int) ([]ChurnResult, error) {
-	jobs := make([]runner.Job[ChurnResult], seeds)
-	for i := range jobs {
-		i := i
-		jobs[i] = runner.Job[ChurnResult]{
+// Grid is the churn sweep: seeds independent runs of p, run i seeded
+// runner.DeriveSeed(p.Seed, i).
+func (p ChurnParams) Grid(seeds int) []Point[ChurnResult] {
+	grid := make([]Point[ChurnResult], seeds)
+	for i := range grid {
+		grid[i] = Point[ChurnResult]{
 			Name: fmt.Sprintf("churn-%02d", i),
-			Seed: runner.DeriveSeed(base.Seed, i),
-			Run: func(_ context.Context, seed int64) (ChurnResult, error) {
-				p := base
-				p.Seed = seed
-				return Churn(p)
+			Seed: runner.DeriveSeed(p.Seed, i),
+			Run: func(seed int64) (ChurnResult, error) {
+				run := p
+				run.Seed = seed
+				return Churn(run)
 			},
 		}
 	}
-	results := runner.Sweep(context.Background(), jobs, runner.Options{Workers: workers})
-	out := make([]ChurnResult, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.Name, r.Err)
-		}
-		out[r.Index] = r.Value
-	}
-	return out, nil
+	return grid
 }
 
 // PrintChurn renders a churn sweep as a table, one row per seed.

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // TestChurnRuns is the smoke test: the tiny churn scenario must
 // complete with every invariant intact, admit a useful fraction of
@@ -43,27 +40,5 @@ func TestChurnSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed churn sweep")
 	}
-	base := ChurnTiny()
-	const seeds = 3
-
-	encode := func(workers int) []byte {
-		t.Helper()
-		res, err := ChurnSweep(base, seeds, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-
-	want := encode(1)
-	for _, workers := range []int{2, 4, 8} {
-		if got := encode(workers); string(got) != string(want) {
-			t.Errorf("churn sweep JSON differs at workers=%d\n 1: %s\n%2d: %s",
-				workers, want, workers, got)
-		}
-	}
+	checkSweepWorkers(t, ChurnTiny().Grid(3), 2, 4, 8)
 }

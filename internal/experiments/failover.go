@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -379,30 +378,20 @@ func drawFailoverSchedule(net *fabric.Network, flows []*fabric.Flow, p FailoverP
 	return s, nil
 }
 
-// FailoverSweep runs every topology point of the grid.  Results come
-// back in input order regardless of worker count, so the sweep's JSON
-// encoding is bit-identical at any parallelism.
-func FailoverSweep(p FailoverParams, workers int) ([]FailoverResult, error) {
-	jobs := make([]runner.Job[FailoverResult], len(p.Specs))
-	for i := range jobs {
-		spec := p.Specs[i]
-		jobs[i] = runner.Job[FailoverResult]{
+// Grid is the failover sweep: one point per topology spec, spec i
+// seeded runner.DeriveSeed(p.Seed, i).
+func (p FailoverParams) Grid() []Point[FailoverResult] {
+	grid := make([]Point[FailoverResult], len(p.Specs))
+	for i, spec := range p.Specs {
+		grid[i] = Point[FailoverResult]{
 			Name: spec.Label(),
 			Seed: runner.DeriveSeed(p.Seed, i),
-			Run: func(_ context.Context, seed int64) (FailoverResult, error) {
+			Run: func(seed int64) (FailoverResult, error) {
 				return FailoverPoint(p, spec, seed)
 			},
 		}
 	}
-	results := runner.Sweep(context.Background(), jobs, runner.Options{Workers: workers})
-	out := make([]FailoverResult, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.Name, r.Err)
-		}
-		out[r.Index] = r.Value
-	}
-	return out, nil
+	return grid
 }
 
 // PrintFailover renders a failover sweep as a table, one row per

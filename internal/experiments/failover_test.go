@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // TestFailoverTinyConverges runs the tiny failover sweep and checks
 // the invariants every point must satisfy beyond the run's own audits
@@ -12,7 +9,7 @@ func TestFailoverTinyConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	res, err := FailoverSweep(FailoverTiny(), 0)
+	res, err := Sweep(FailoverTiny().Grid(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,24 +45,5 @@ func TestFailoverWorkerIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run in -short mode")
 	}
-	p := FailoverTiny()
-	serial, err := FailoverSweep(p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := FailoverSweep(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := json.Marshal(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatalf("sweep diverges across worker counts:\n1 worker: %s\n4 workers: %s", a, b)
-	}
+	checkSweepWorkers(t, FailoverTiny().Grid(), 2, 4, 8)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/subnet"
 	"repro/internal/topology"
 )
@@ -375,38 +373,28 @@ var faultGrid = []faultPoint{
 	{0.10, 0.04, 5, 1},
 }
 
-// FaultsSweep runs the experiment across the fault grid (drop and
-// corruption rates, flap counts), one job per point.  Results come back
-// in input order regardless of worker count, so the sweep's JSON is
-// bit-identical at any parallelism.
-func FaultsSweep(base FaultParams, workers int) ([]FaultsResult, error) {
-	jobs := make([]runner.Job[FaultsResult], len(faultGrid))
-	for i := range jobs {
-		pt := faultGrid[i]
-		jobs[i] = runner.Job[FaultsResult]{
+// Grid is the fault sweep: one point per faultGrid entry (drop and
+// corruption rates, flap counts).  Every point runs the same churn
+// workload, so the seed rule gives each the base seed p.Churn.Seed.
+func (p FaultParams) Grid() []Point[FaultsResult] {
+	grid := make([]Point[FaultsResult], len(faultGrid))
+	for i, pt := range faultGrid {
+		grid[i] = Point[FaultsResult]{
 			Name: fmt.Sprintf("faults-d%g-c%g-f%d", pt.drop, pt.corrupt, pt.flaps),
-			Seed: base.Churn.Seed,
-			Run: func(_ context.Context, seed int64) (FaultsResult, error) {
-				p := base
-				p.Churn.Seed = seed
-				p.Drop = pt.drop
-				p.Corrupt = pt.corrupt
-				p.Flaps = pt.flaps
-				p.Duplicate *= pt.scale
-				p.Reorder *= pt.scale
-				return Faults(p)
+			Seed: p.Churn.Seed,
+			Run: func(seed int64) (FaultsResult, error) {
+				run := p
+				run.Churn.Seed = seed
+				run.Drop = pt.drop
+				run.Corrupt = pt.corrupt
+				run.Flaps = pt.flaps
+				run.Duplicate *= pt.scale
+				run.Reorder *= pt.scale
+				return Faults(run)
 			},
 		}
 	}
-	results := runner.Sweep(context.Background(), jobs, runner.Options{Workers: workers})
-	out := make([]FaultsResult, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.Name, r.Err)
-		}
-		out[r.Index] = r.Value
-	}
-	return out, nil
+	return grid
 }
 
 // PrintFaults renders a fault sweep as a table, one row per fault

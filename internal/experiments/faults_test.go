@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // TestFaultsTinyRecoveryWork: the tiny fault run must actually exercise
 // the hardened control plane — lose SMPs, retransmit, quarantine — and
@@ -56,25 +53,7 @@ func TestFaultsEveryTransactionTerminates(t *testing.T) {
 func TestFaultsSweepBitIdenticalAcrossWorkers(t *testing.T) {
 	base := FaultsTiny()
 	base.Churn.Arrivals = 40
-	one, err := FaultsSweep(base, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	many, err := FaultsSweep(base, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := json.Marshal(one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(many)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Errorf("sweep JSON differs across worker counts:\n1 worker:  %s\n4 workers: %s", a, b)
-	}
+	checkSweepWorkers(t, base.Grid(), 2, 4, 8)
 }
 
 // TestFaultsFaultFreePointStillAudits: the sweep's control point (zero

@@ -1,19 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"math"
 	"text/tabwriter"
 
 	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/runner"
-	"repro/internal/sl"
-	"repro/internal/stats"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // HOLParams sizes the head-of-line-blocking experiment: the paper's
@@ -143,64 +138,17 @@ func HOLPoint(p HOLParams, spec topology.Spec, model fabric.SwitchModel, load fl
 	res.Seed = seed
 	res.Load = load
 
-	// The offered traffic depends only on (topo, seed), never on the
-	// model: all models of a point admit the same connections and
-	// carry the same best-effort background.
-	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), seed+1)
-	attempts := int(math.Ceil(load * float64(topo.NumHosts())))
-	if attempts < 1 {
-		attempts = 1
-	}
-	var flows []*fabric.Flow
-	consecutive := 0
-	for i := 0; i < attempts && consecutive < p.MaxConsecutiveRejects; i++ {
-		res.Attempts++
-		conn, err := net.Adm.Admit(src.Next())
-		if err != nil {
-			consecutive++
-			continue
-		}
-		consecutive = 0
-		res.Admitted++
-		flows = append(flows, net.AddConnection(conn))
-	}
-	if res.Admitted == 0 {
-		return res, fmt.Errorf("experiments: hol point %s/%s load %g admitted no connections",
-			res.Label, res.Model, load)
-	}
-	for _, be := range traffic.BestEffortBackground(topo.NumHosts(), load, seed+2) {
-		net.AddBestEffort(be)
-		res.BEFlows++
-	}
-
-	slowest := flows[0]
-	for _, f := range flows[1:] {
-		if f.IAT > slowest.IAT {
-			slowest = f
-		}
-	}
-	net.Start()
-	warmup := p.WarmupIATs * slowest.IAT
-	net.Run(warmup)
-	net.StartMeasurement()
-	target := int64(p.MinPacketsSlowest)
-	timeCap := warmup + (target+8)*slowest.IAT*2
-	net.RunWhile(func() bool {
-		return slowest.Delivered.Packets < target && net.Now() < timeCap
-	})
-
-	if err := net.CheckBuffers(); err != nil {
-		return res, err
+	o, err := loadAndMeasure(net, load, seed, p.MaxConsecutiveRejects, p.WarmupIATs, int64(p.MinPacketsSlowest))
+	res.Attempts, res.Admitted, res.BEFlows = o.attempts, o.admitted, len(o.be)
+	if err != nil {
+		return res, fmt.Errorf("experiments: hol point %s/%s load %g: %w", res.Label, res.Model, load, err)
 	}
 	_, _, dropped := net.Totals()
 	res.DroppedPackets = dropped
 	res.DeliveredBPCNode = net.DeliveredBytesPerCyclePerNode()
 	res.SwitchUtil = net.MeanSwitchPortUtilization()
 
-	delay := stats.NewDelayCDF()
-	for _, f := range flows {
-		delay.Merge(f.Delay)
-	}
+	delay := o.delay()
 	if delay.Total() > 0 {
 		res.MeanDelayRatio = delay.MeanRatio()
 		res.WorstDelayRatio = delay.MaxRatio()
@@ -211,48 +159,27 @@ func HOLPoint(p HOLParams, spec topology.Spec, model fabric.SwitchModel, load fl
 	return res, nil
 }
 
-// HOLSweep runs every (spec, load, model) point of the grid.  The
-// derived seed depends only on the (spec, load) cell, so the models of
-// a cell see identical traffic; results come back in input order
-// regardless of worker count, so the sweep's JSON encoding is
-// bit-identical at any parallelism.
-func HOLSweep(p HOLParams, workers int) ([]HOLResult, error) {
-	type point struct {
-		spec  topology.Spec
-		model fabric.SwitchModel
-		load  float64
-		cell  int // (spec, load) index shared by the cell's models
-	}
-	var grid []point
+// Grid is the HOL sweep: every (spec, load, model) point.  The seed
+// rule is one seed per (spec, load) cell, runner.DeriveSeed(p.Seed,
+// cell), so the models of a cell see identical traffic.
+func (p HOLParams) Grid() []Point[HOLResult] {
+	var grid []Point[HOLResult]
 	cell := 0
 	for _, spec := range p.Specs {
 		for _, load := range p.Loads {
 			for _, model := range p.Models {
-				grid = append(grid, point{spec, model, load, cell})
+				grid = append(grid, Point[HOLResult]{
+					Name: fmt.Sprintf("%s-%s-load%g", spec.Label(), model, load),
+					Seed: runner.DeriveSeed(p.Seed, cell),
+					Run: func(seed int64) (HOLResult, error) {
+						return HOLPoint(p, spec, model, load, seed)
+					},
+				})
 			}
 			cell++
 		}
 	}
-	jobs := make([]runner.Job[HOLResult], len(grid))
-	for i := range jobs {
-		pt := grid[i]
-		jobs[i] = runner.Job[HOLResult]{
-			Name: fmt.Sprintf("%s-%s-load%g", pt.spec.Label(), pt.model, pt.load),
-			Seed: runner.DeriveSeed(p.Seed, pt.cell),
-			Run: func(_ context.Context, seed int64) (HOLResult, error) {
-				return HOLPoint(p, pt.spec, pt.model, pt.load, seed)
-			},
-		}
-	}
-	results := runner.Sweep(context.Background(), jobs, runner.Options{Workers: workers})
-	out := make([]HOLResult, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.Name, r.Err)
-		}
-		out[r.Index] = r.Value
-	}
-	return out, nil
+	return grid
 }
 
 // PrintHOL renders a HOL sweep, one row per (spec, model, load) point,

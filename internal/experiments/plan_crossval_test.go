@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/fabric"
 	"repro/internal/plan"
-	"repro/internal/runner"
-	"repro/internal/sl"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // crossValSpecs are the three topology classes of the validation grid,
@@ -74,54 +70,40 @@ func TestPlanCrossValidationGrid(t *testing.T) {
 	pp := PlanTiny()
 	pp.HeadroomMax = 0 // the grid validates the model, not the bisection
 
-	type job struct {
-		spec topology.Spec
-		load float64
-		seed int64
-	}
-	var grid []job
+	var grid []Point[crossPoint]
 	for _, spec := range crossValSpecs {
 		for _, load := range crossValLoads {
 			for s := int64(1); s <= crossValSeedCount(t); s++ {
-				grid = append(grid, job{spec, load, s})
+				grid = append(grid, Point[crossPoint]{
+					Name: fmt.Sprintf("%s-load%g-seed%d", spec.Label(), load, s),
+					Seed: s,
+					Run: func(seed int64) (crossPoint, error) {
+						cp := crossPoint{spec: spec, load: load, seed: seed}
+						var err error
+						if cp.mdl, err = PlanPoint(pp, spec, load, seed); err != nil {
+							return cp, fmt.Errorf("model: %w", err)
+						}
+						// Light points are cheap to simulate, so buy a longer
+						// measurement window: at 10 packets the window's packet
+						// quantization alone is ~10%, swamping the model error
+						// the bound is meant to police.  Saturated points keep
+						// the short window — they are excluded from the bound.
+						simP := sp
+						if load <= 2 {
+							simP.MinPacketsSlowest = 40
+						}
+						if cp.sim, err = ScalePoint(simP, spec, load, seed); err != nil {
+							return cp, fmt.Errorf("sim: %w", err)
+						}
+						return cp, nil
+					},
+				})
 			}
 		}
 	}
-	jobs := make([]runner.Job[crossPoint], len(grid))
-	for i := range jobs {
-		g := grid[i]
-		jobs[i] = runner.Job[crossPoint]{
-			Name: fmt.Sprintf("%s-load%g-seed%d", g.spec.Label(), g.load, g.seed),
-			Seed: g.seed,
-			Run: func(_ context.Context, seed int64) (crossPoint, error) {
-				cp := crossPoint{spec: g.spec, load: g.load, seed: seed}
-				var err error
-				if cp.mdl, err = PlanPoint(pp, g.spec, g.load, seed); err != nil {
-					return cp, fmt.Errorf("model: %w", err)
-				}
-				// Light points are cheap to simulate, so buy a longer
-				// measurement window: at 10 packets the window's packet
-				// quantization alone is ~10%, swamping the model error
-				// the bound is meant to police.  Saturated points keep
-				// the short window — they are excluded from the bound.
-				simP := sp
-				if g.load <= 2 {
-					simP.MinPacketsSlowest = 40
-				}
-				if cp.sim, err = ScalePoint(simP, g.spec, g.load, seed); err != nil {
-					return cp, fmt.Errorf("sim: %w", err)
-				}
-				return cp, nil
-			},
-		}
-	}
-	results := runner.Sweep(context.Background(), jobs, runner.Options{Workers: 8})
-	points := make([]crossPoint, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.Name, r.Err)
-		}
-		points[r.Index] = r.Value
+	points, err := Sweep(grid, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	saturatedByClass := map[string]int{}
@@ -291,55 +273,23 @@ func TestPlanFlagsSimStarvedFlows(t *testing.T) {
 	t.Logf("sim-saturated VLs: %d (all model-flagged); sim starved %d flows, model flagged %d", simSaturatedVLs, starved, flagged)
 }
 
-// simulateFlows mirrors ScalePoint's fill and measurement loop but
-// hands back the flow objects for per-flow inspection.
+// simulateFlows runs ScalePoint's fill and measurement loop (tiny
+// scale, 10-packet quota) but hands back the flow objects, QoS first,
+// for per-flow inspection.
 func simulateFlows(t *testing.T, spec topology.Spec, load float64, seed int64) ([]*fabric.Flow, *fabric.Network) {
 	t.Helper()
 	topo, err := spec.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fabric.DefaultConfig(topo.NumSwitches, 512, seed)
-	net, err := fabric.NewWithTopology(cfg, topo)
+	sp := ScaleTiny()
+	net, err := fabric.NewWithTopology(fabric.DefaultConfig(topo.NumSwitches, sp.Payload, seed), topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), seed+1)
-	attempts := int(math.Ceil(load * float64(topo.NumHosts())))
-	if attempts < 1 {
-		attempts = 1
+	o, err := loadAndMeasure(net, load, seed, sp.MaxConsecutiveRejects, sp.WarmupIATs, 10)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var flows []*fabric.Flow
-	consecutive := 0
-	for i := 0; i < attempts && consecutive < 20; i++ {
-		conn, err := net.Adm.Admit(src.Next())
-		if err != nil {
-			consecutive++
-			continue
-		}
-		consecutive = 0
-		flows = append(flows, net.AddConnection(conn))
-	}
-	if len(flows) == 0 {
-		t.Fatal("no connections admitted")
-	}
-	for _, be := range traffic.BestEffortBackground(topo.NumHosts(), load, seed+2) {
-		flows = append(flows, net.AddBestEffort(be))
-	}
-
-	qos := flows[0]
-	for _, f := range flows {
-		if f.QoS && f.IAT > qos.IAT {
-			qos = f
-		}
-	}
-	net.Start()
-	net.Run(qos.IAT)
-	net.StartMeasurement()
-	target := int64(10)
-	timeCap := qos.IAT + (target+8)*qos.IAT*2
-	net.RunWhile(func() bool {
-		return qos.Delivered.Packets < target && net.Now() < timeCap
-	})
-	return flows, net
+	return append(o.qos, o.be...), net
 }

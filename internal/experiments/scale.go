@@ -1,19 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"math"
 	"text/tabwriter"
 
 	"repro/internal/fabric"
 	"repro/internal/routing/cdg"
-	"repro/internal/runner"
-	"repro/internal/sl"
-	"repro/internal/stats"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // ScaleParams sizes the structured-fabric experiment: a grid of
@@ -136,57 +130,10 @@ func ScalePoint(p ScaleParams, spec topology.Spec, load float64, seed int64) (Sc
 		return res, err
 	}
 
-	// QoS connections: up to ceil(load * hosts) admission attempts from
-	// the seeded source (load < 1 underfills the fabric, load > 1
-	// pushes into rejection), stopping early if the admission control
-	// saturates.
-	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), seed+1)
-	attempts := int(math.Ceil(load * float64(topo.NumHosts())))
-	if attempts < 1 {
-		attempts = 1
-	}
-	var flows []*fabric.Flow
-	consecutive := 0
-	for i := 0; i < attempts && consecutive < p.MaxConsecutiveRejects; i++ {
-		res.Attempts++
-		conn, err := net.Adm.Admit(src.Next())
-		if err != nil {
-			res.Rejected++
-			consecutive++
-			continue
-		}
-		consecutive = 0
-		res.Admitted++
-		flows = append(flows, net.AddConnection(conn))
-	}
-	if res.Admitted == 0 {
-		return res, fmt.Errorf("experiments: scale point %s load %g admitted no connections", res.Label, load)
-	}
-	for _, be := range traffic.BestEffortBackground(topo.NumHosts(), load, seed+2) {
-		net.AddBestEffort(be)
-		res.BEFlows++
-	}
-
-	// Warmup, then measure until the slowest QoS connection has its
-	// packet quota (with a time cap so a defect cannot hang the run).
-	slowest := flows[0]
-	for _, f := range flows[1:] {
-		if f.IAT > slowest.IAT {
-			slowest = f
-		}
-	}
-	net.Start()
-	warmup := p.WarmupIATs * slowest.IAT
-	net.Run(warmup)
-	net.StartMeasurement()
-	target := int64(p.MinPacketsSlowest)
-	timeCap := warmup + (target+8)*slowest.IAT*2
-	net.RunWhile(func() bool {
-		return slowest.Delivered.Packets < target && net.Now() < timeCap
-	})
-
-	if err := net.CheckBuffers(); err != nil {
-		return res, err
+	o, err := loadAndMeasure(net, load, seed, p.MaxConsecutiveRejects, p.WarmupIATs, int64(p.MinPacketsSlowest))
+	res.Attempts, res.Admitted, res.Rejected, res.BEFlows = o.attempts, o.admitted, o.rejected, len(o.be)
+	if err != nil {
+		return res, fmt.Errorf("experiments: scale point %s load %g: %w", res.Label, load, err)
 	}
 	_, _, dropped := net.Totals()
 	res.DroppedPackets = dropped
@@ -195,10 +142,7 @@ func ScalePoint(p ScaleParams, spec topology.Spec, load float64, seed int64) (Sc
 	res.HostUtil = net.MeanHostUtilization()
 	res.SwitchUtil = net.MeanSwitchPortUtilization()
 
-	delay := stats.NewDelayCDF()
-	for _, f := range flows {
-		delay.Merge(f.Delay)
-	}
+	delay := o.delay()
 	if delay.Total() > 0 {
 		res.MeanDelayRatio = delay.MeanRatio()
 		res.DeadlineMetPct = delay.PercentMeetingDeadline()
@@ -207,40 +151,12 @@ func ScalePoint(p ScaleParams, spec topology.Spec, load float64, seed int64) (Sc
 	return res, nil
 }
 
-// ScaleSweep runs every (spec, load) point of the grid.  Results come
-// back in input order regardless of worker count, so the sweep's JSON
-// encoding is bit-identical at any parallelism.
-func ScaleSweep(p ScaleParams, workers int) ([]ScaleResult, error) {
-	type point struct {
-		spec topology.Spec
-		load float64
-	}
-	var grid []point
-	for _, spec := range p.Specs {
-		for _, load := range p.Loads {
-			grid = append(grid, point{spec, load})
-		}
-	}
-	jobs := make([]runner.Job[ScaleResult], len(grid))
-	for i := range jobs {
-		pt := grid[i]
-		jobs[i] = runner.Job[ScaleResult]{
-			Name: fmt.Sprintf("%s-load%g", pt.spec.Label(), pt.load),
-			Seed: runner.DeriveSeed(p.Seed, i),
-			Run: func(_ context.Context, seed int64) (ScaleResult, error) {
-				return ScalePoint(p, pt.spec, pt.load, seed)
-			},
-		}
-	}
-	results := runner.Sweep(context.Background(), jobs, runner.Options{Workers: workers})
-	out := make([]ScaleResult, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.Name, r.Err)
-		}
-		out[r.Index] = r.Value
-	}
-	return out, nil
+// Grid is the scale sweep: every (spec, load) point, seeded
+// runner.DeriveSeed(p.Seed, i).
+func (p ScaleParams) Grid() []Point[ScaleResult] {
+	return specLoadGrid(p.Specs, p.Loads, p.Seed, func(spec topology.Spec, load float64, seed int64) (ScaleResult, error) {
+		return ScalePoint(p, spec, load, seed)
+	})
 }
 
 // PrintScale renders a scale sweep as a table, one row per point.

@@ -3,15 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"text/tabwriter"
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/sl"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // ShardBenchParams sizes the sharded-core throughput benchmark: one
@@ -117,27 +114,8 @@ func shardBenchRun(p ShardBenchParams, shards int) (ShardBenchResult, error) {
 	res.Effective = net.Shards()
 	res.Parallel = net.Parallel()
 
-	// The offered traffic is a pure function of (topo, seed): QoS
-	// attempts scaled by load, then best-effort background, exactly as
-	// ScalePoint offers them.
-	src := traffic.NewSource(sl.DefaultLevels, topo.NumHosts(), p.Seed+1)
-	attempts := int(math.Ceil(p.Load * float64(topo.NumHosts())))
-	admitted, consecutive := 0, 0
-	for i := 0; i < attempts && consecutive < 40; i++ {
-		conn, err := net.Adm.Admit(src.Next())
-		if err != nil {
-			consecutive++
-			continue
-		}
-		consecutive = 0
-		admitted++
-		net.AddConnection(conn)
-	}
-	if admitted == 0 {
-		return res, fmt.Errorf("experiments: shard bench admitted no connections")
-	}
-	for _, be := range traffic.BestEffortBackground(topo.NumHosts(), p.BEMbps, p.Seed+2) {
-		net.AddBestEffort(be)
+	if _, err := offerLoad(net, p.Load, p.BEMbps, p.Seed, 40); err != nil {
+		return res, fmt.Errorf("experiments: shard bench: %w", err)
 	}
 
 	net.Start()

@@ -106,25 +106,17 @@ go run ./cmd/ibsim -exp hol -scale tiny >/dev/null
 echo "==> ibsim -exp plan -scale tiny (analytical capacity-plan smoke)"
 go run ./cmd/ibsim -exp plan -scale tiny >/dev/null
 
-echo "==> ibsim -shards 4 golden smoke (det mode must match -shards 1)"
-# The deterministic shard mode pins every shard to one engine, so the
-# scale goldens must be byte-identical at any shard count.
-go run ./cmd/ibsim -exp scale -scale tiny -shards 1 -shard-det > /tmp/ci_shards1.out
-go run ./cmd/ibsim -exp scale -scale tiny -shards 4 -shard-det > /tmp/ci_shards4.out
-diff /tmp/ci_shards1.out /tmp/ci_shards4.out
-rm -f /tmp/ci_shards1.out /tmp/ci_shards4.out
-
-echo "==> ibsim churn/faults -shard-det sweep (det mode must match -shards 1)"
-# Churn and faults no longer force the single-engine mode; under
-# -shard-det their JSON must stay byte-identical at every shard count.
-for exp in churn faults; do
-    go run ./cmd/ibsim -exp "$exp" -scale tiny -shards 1 -shard-det > /tmp/ci_ctl_base.out
+echo "==> ibsim scale/hol/churn/faults -shard-det sweep (det mode must match -shards 1)"
+# The deterministic shard mode pins every shard to one engine, so each
+# sweep's output must stay byte-identical at every shard count.
+for exp in scale hol churn faults; do
+    go run ./cmd/ibsim -exp "$exp" -scale tiny -shards 1 -shard-det > /tmp/ci_det_base.out
     for n in 2 4 8; do
-        go run ./cmd/ibsim -exp "$exp" -scale tiny -shards "$n" -shard-det > /tmp/ci_ctl_n.out
-        diff /tmp/ci_ctl_base.out /tmp/ci_ctl_n.out
+        go run ./cmd/ibsim -exp "$exp" -scale tiny -shards "$n" -shard-det > /tmp/ci_det_n.out
+        diff /tmp/ci_det_base.out /tmp/ci_det_n.out
     done
 done
-rm -f /tmp/ci_ctl_base.out /tmp/ci_ctl_n.out
+rm -f /tmp/ci_det_base.out /tmp/ci_det_n.out
 
 echo "==> ibsim -exp shardbench (parallel core smoke)"
 go run ./cmd/ibsim -exp shardbench -bench-shards 1,4 -bench-horizon 200000 >/dev/null
